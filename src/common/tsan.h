@@ -1,10 +1,11 @@
 #pragma once
 
-// ThreadSanitizer helpers for the one deliberately-racy idiom in this
-// codebase: seqlock-style payload copies (ReadRecordNoWait). The copy races
-// with a committer's in-place apply by design; the surrounding version
-// protocol (load tid, copy, acquire fence, re-load tid, discard on
-// mismatch) rejects every torn result, so the race cannot escape. TSan has
+// ThreadSanitizer helpers for the deliberately-racy optimistic reads of this
+// codebase: seqlock-style payload copies (ReadRecordNoWait) and the B+Tree's
+// optimistic node reads (index/btree.cc). The copy races with a committer's
+// in-place apply by design; the surrounding version protocol (load tid,
+// copy, acquire fence, re-load tid, discard on mismatch) rejects every torn
+// result, so the race cannot escape. TSan has
 // no way to see that argument, so the copy is bracketed with ignore-reads
 // annotations — which the memcpy interceptor honors, unlike
 // no_sanitize("thread") on the caller. Keep the bracket tight: anything

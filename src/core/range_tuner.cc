@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "harness/knobs.h"
-#include "sync/optiql.h"
 #include "txn/txn.h"
 
 namespace rocc {
@@ -103,22 +102,6 @@ bool RangeTuner::RunPass(uint64_t min_score) {
       merge_eval_accum_[mi] += d_reg[rid];
     }
 
-    // Combining promotion: a ring sustaining a heavy registration rate is
-    // the counter CAS storm the combining path exists for — arm it; disarm
-    // with hysteresis when the rate collapses (skew moved on). Flag-only, no
-    // publish: combining and direct registrants interoperate.
-    if (opts_.combining_reg_threshold != 0 && sync::QueueCapable()) {
-      for (uint32_t rid = 0; rid < n; rid++) {
-        TxnRing* ring = cur->range(rid)->ring.get();
-        if (d_reg[rid] >= opts_.combining_reg_threshold) {
-          ring->SetCombining(true);
-        } else if (ring->combining() &&
-                   d_reg[rid] * 4 < opts_.combining_reg_threshold) {
-          ring->SetCombining(false);
-        }
-      }
-    }
-
     // Split the hottest eligible range. ring_lost dominates the score: it
     // means the ring itself is the bottleneck, which only a fresh ring plus
     // a narrower key span can fix. Registration volume is a weak tiebreak so
@@ -148,7 +131,7 @@ bool RangeTuner::RunPass(uint64_t min_score) {
     // attack the ring itself — replace it with one sized past the observed
     // validation high water, and at least doubled. Epoch-published with the
     // same grace gate as Split, so validators in the transition window stay
-    // correct for free (DESIGN.md §15.2).
+    // correct for free (DESIGN.md §15.1).
     if (opts_.adaptive_ring) {
       int grow = -1;
       uint64_t grow_lost = 0;

@@ -34,17 +34,13 @@ struct RangeTunerOptions {
   /// back-to-back (relief storms): every range then shows a near-zero delta
   /// and hot split products get merged straight back, thrashing the table.
   uint64_t merge_eval_registrations = 4096;
-  /// Adaptive ring capacity (DESIGN.md §15.2): grow a range's ring when
+  /// Adaptive ring capacity (DESIGN.md §15.1): grow a range's ring when
   /// ring_lost aborts persist and splitting cannot (or did not) relieve
   /// them; shrink it back toward the configured capacity when a merge
   /// window shows no pressure and a low high-water mark.
   bool adaptive_ring = false;
   /// Upper bound for tuner-grown rings (slots).
   uint32_t max_ring_capacity = 1u << 20;
-  /// Per-pass registration delta past which a range's ring is promoted to
-  /// combining registration (demoted below a quarter of it). 0 disables
-  /// promotion; promotion also requires a queue-capable --lock mode.
-  uint64_t combining_reg_threshold = 0;
 };
 
 /// Telemetry-driven hot-range refinement.

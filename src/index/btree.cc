@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/tsan.h"
+
 namespace rocc {
 
 using btree_detail::Inner;
@@ -22,6 +24,40 @@ int Leaf::LowerBound(uint64_t key) const {
   const uint64_t* end = keys + count;
   return static_cast<int>(std::lower_bound(keys, end, key) - keys);
 }
+
+namespace {
+
+// Optimistic reads: between a version snapshot and its Validate() a node may
+// be under modification, so these reads race with its writer by design — a
+// torn value fails validation and the caller restarts. TSan cannot see that
+// argument, so they are bracketed like the seqlock payload copy
+// (common/tsan.h). Reads after a successful Validate() are ordered by the
+// latch's acquire load and need no bracket.
+
+Node* OptimisticChild(const Inner* inner, uint64_t key) {
+  TsanIgnoreReadsBegin();
+  Node* child = inner->children[inner->ChildIndex(key)];
+  TsanIgnoreReadsEnd();
+  return child;
+}
+
+bool OptimisticFull(const Node* node, int max_count) {
+  TsanIgnoreReadsBegin();
+  const bool full = node->count == max_count;
+  TsanIgnoreReadsEnd();
+  return full;
+}
+
+Row* OptimisticLookup(const Leaf* leaf, uint64_t key) {
+  TsanIgnoreReadsBegin();
+  const int slot = leaf->LowerBound(key);
+  Row* row = (slot < leaf->count && leaf->keys[slot] == key) ? leaf->vals[slot]
+                                                             : nullptr;
+  TsanIgnoreReadsEnd();
+  return row;
+}
+
+}  // namespace
 
 BTree::BTree() { root_.store(new Leaf(), std::memory_order_release); }
 
@@ -100,32 +136,30 @@ Status BTree::Insert(uint64_t key, Row* row) {
 
     while (!node->is_leaf) {
       Inner* inner = static_cast<Inner*>(node);
-      if (inner->count == kInnerMax) {
+      if (OptimisticFull(inner, kInnerMax)) {
         // Eagerly split the full inner node while holding the parent lock.
-        Node::LatchGuard pg, ig;
-        if (parent != nullptr && !parent->TryUpgradeLock(pv, pg)) {
+        if (parent != nullptr && !parent->TryUpgradeLock(pv)) {
           restart = true;
           break;
         }
-        if (!inner->TryUpgradeLock(v, ig)) {
-          if (parent != nullptr) parent->WriteUnlock(pg);
+        if (!inner->TryUpgradeLock(v)) {
+          if (parent != nullptr) parent->WriteUnlock();
           restart = true;
           break;
         }
         if (parent == nullptr &&
             root_.load(std::memory_order_acquire) != inner) {
-          inner->WriteUnlock(ig);
+          inner->WriteUnlock();
           restart = true;
           break;
         }
         SplitInner(parent, inner);
-        inner->WriteUnlock(ig);
-        if (parent != nullptr) parent->WriteUnlock(pg);
+        inner->WriteUnlock();
+        if (parent != nullptr) parent->WriteUnlock();
         restart = true;  // retry from the top with the new shape
         break;
       }
-      const int idx = inner->ChildIndex(key);
-      Node* child = inner->children[idx];
+      Node* child = OptimisticChild(inner, key);
       if (!inner->Validate(v)) { restart = true; break; }
       const uint64_t cv = child->StableVersion();
       if (!inner->Validate(v)) { restart = true; break; }
@@ -137,28 +171,26 @@ Status BTree::Insert(uint64_t key, Row* row) {
     if (restart) continue;
 
     Leaf* leaf = static_cast<Leaf*>(node);
-    if (leaf->count == kLeafMax) {
-      Node::LatchGuard pg, lg;
-      if (parent != nullptr && !parent->TryUpgradeLock(pv, pg)) continue;
-      if (!leaf->TryUpgradeLock(v, lg)) {
-        if (parent != nullptr) parent->WriteUnlock(pg);
+    if (OptimisticFull(leaf, kLeafMax)) {
+      if (parent != nullptr && !parent->TryUpgradeLock(pv)) continue;
+      if (!leaf->TryUpgradeLock(v)) {
+        if (parent != nullptr) parent->WriteUnlock();
         continue;
       }
       if (parent == nullptr && root_.load(std::memory_order_acquire) != leaf) {
-        leaf->WriteUnlock(lg);
+        leaf->WriteUnlock();
         continue;
       }
       SplitLeaf(parent, leaf);
-      leaf->WriteUnlock(lg);
-      if (parent != nullptr) parent->WriteUnlock(pg);
+      leaf->WriteUnlock();
+      if (parent != nullptr) parent->WriteUnlock();
       continue;
     }
 
-    Node::LatchGuard lg;
-    if (!leaf->TryUpgradeLock(v, lg)) continue;
+    if (!leaf->TryUpgradeLock(v)) continue;
     const int slot = leaf->LowerBound(key);
     if (slot < leaf->count && leaf->keys[slot] == key) {
-      leaf->WriteUnlock(lg);
+      leaf->WriteUnlock();
       return Status::KeyExists();
     }
     for (int i = leaf->count; i > slot; i--) {
@@ -168,7 +200,7 @@ Status BTree::Insert(uint64_t key, Row* row) {
     leaf->keys[slot] = key;
     leaf->vals[slot] = row;
     leaf->count++;
-    leaf->WriteUnlock(lg);
+    leaf->WriteUnlock();
     size_.fetch_add(1, std::memory_order_relaxed);
     return Status::Ok();
   }
@@ -183,8 +215,7 @@ Row* BTree::Get(uint64_t key) const {
 
     while (!node->is_leaf) {
       Inner* inner = static_cast<Inner*>(node);
-      const int idx = inner->ChildIndex(key);
-      Node* child = inner->children[idx];
+      Node* child = OptimisticChild(inner, key);
       if (!inner->Validate(v)) { restart = true; break; }
       const uint64_t cv = child->StableVersion();
       if (!inner->Validate(v)) { restart = true; break; }
@@ -194,9 +225,7 @@ Row* BTree::Get(uint64_t key) const {
     if (restart) continue;
 
     Leaf* leaf = static_cast<Leaf*>(node);
-    const int slot = leaf->LowerBound(key);
-    Row* result = (slot < leaf->count && leaf->keys[slot] == key) ? leaf->vals[slot]
-                                                                  : nullptr;
+    Row* result = OptimisticLookup(leaf, key);
     if (!leaf->Validate(v)) continue;
     return result;
   }
@@ -211,8 +240,7 @@ Status BTree::Remove(uint64_t key) {
 
     while (!node->is_leaf) {
       Inner* inner = static_cast<Inner*>(node);
-      const int idx = inner->ChildIndex(key);
-      Node* child = inner->children[idx];
+      Node* child = OptimisticChild(inner, key);
       if (!inner->Validate(v)) { restart = true; break; }
       const uint64_t cv = child->StableVersion();
       if (!inner->Validate(v)) { restart = true; break; }
@@ -222,11 +250,10 @@ Status BTree::Remove(uint64_t key) {
     if (restart) continue;
 
     Leaf* leaf = static_cast<Leaf*>(node);
-    Node::LatchGuard lg;
-    if (!leaf->TryUpgradeLock(v, lg)) continue;
+    if (!leaf->TryUpgradeLock(v)) continue;
     const int slot = leaf->LowerBound(key);
     if (slot >= leaf->count || leaf->keys[slot] != key) {
-      leaf->WriteUnlock(lg);
+      leaf->WriteUnlock();
       return Status::NotFound();
     }
     for (int i = slot; i + 1 < leaf->count; i++) {
@@ -234,7 +261,7 @@ Status BTree::Remove(uint64_t key) {
       leaf->vals[i] = leaf->vals[i + 1];
     }
     leaf->count--;
-    leaf->WriteUnlock(lg);
+    leaf->WriteUnlock();
     size_.fetch_sub(1, std::memory_order_relaxed);
     return Status::Ok();
   }
@@ -256,8 +283,7 @@ void BTree::ScanImpl(uint64_t start_key, uint64_t end_key, bool bounded,
 
     while (!node->is_leaf) {
       Inner* inner = static_cast<Inner*>(node);
-      const int idx = inner->ChildIndex(cursor);
-      Node* child = inner->children[idx];
+      Node* child = OptimisticChild(inner, cursor);
       if (!inner->Validate(v)) goto descend;
       const uint64_t cv = child->StableVersion();
       if (!inner->Validate(v)) goto descend;
@@ -268,6 +294,7 @@ void BTree::ScanImpl(uint64_t start_key, uint64_t end_key, bool bounded,
     Leaf* leaf = static_cast<Leaf*>(node);
     while (true) {
       int n = 0;
+      TsanIgnoreReadsBegin();
       const int start = leaf->LowerBound(cursor);
       for (int i = start; i < leaf->count; i++) {
         if (bounded && leaf->keys[i] >= end_key) break;
@@ -278,6 +305,7 @@ void BTree::ScanImpl(uint64_t start_key, uint64_t end_key, bool bounded,
       const bool past_end =
           bounded && leaf->count > 0 && start < leaf->count &&
           leaf->keys[leaf->count - 1] >= end_key;
+      TsanIgnoreReadsEnd();
       Leaf* next = leaf->next.load(std::memory_order_acquire);
       if (!leaf->Validate(v)) goto descend;  // re-traverse from `cursor`
 

@@ -5,7 +5,7 @@
 
 #include "common/cacheline.h"
 #include "index/index.h"
-#include "sync/optiql.h"
+#include "index/version_latch.h"
 
 namespace rocc {
 
@@ -15,25 +15,16 @@ constexpr int kInnerMax = 64;  ///< max keys per inner node
 constexpr int kLeafMax = 64;   ///< max entries per leaf
 
 /// Node header with an optimistic version latch (optimistic lock coupling,
-/// Leis et al., "The ART of Practical Synchronization"), backed by
-/// `sync::VersionLatch`: readers validate version snapshots and restart on
-/// interference exactly as before, while writers — under `--lock=optiql` —
-/// enqueue OptiQL-style on a per-node MCS queue instead of CAS-looping on a
-/// hot header word (DESIGN.md §13).
+/// Leis et al., "The ART of Practical Synchronization"): readers validate
+/// version snapshots and restart on interference; writers upgrade with one
+/// CAS (DESIGN.md §13).
 ///
 /// Cache-line aligned so the latch word of one hot node never false-shares
 /// with a sibling allocation; keys/children start on the next line.
 struct alignas(kCacheLineSize) Node {
-  sync::VersionLatch latch;
+  VersionLatch latch;
   bool is_leaf = false;
   uint16_t count = 0;
-  /// Per-latch cas->optiql promotion score for `--lock=adaptive`: this node
-  /// promotes itself to the queued path from its own contention history
-  /// instead of the global switch. Lives in the header line's padding.
-  sync::ContendedHint latch_hint;
-
-  /// Write-lock ownership token carried between upgrade and unlock.
-  using LatchGuard = sync::VersionLatch::Guard;
 
   /// Returns a stable (unlocked) version snapshot, waiting out writers with
   /// pause + capped exponential backoff.
@@ -43,15 +34,13 @@ struct alignas(kCacheLineSize) Node {
     return latch.CheckOrRestart(expected);
   }
 
-  bool TryUpgradeLock(uint64_t expected, LatchGuard& g) {
-    return latch.UpgradeToWriteLockOrRestart(expected, g, &latch_hint);
+  bool TryUpgradeLock(uint64_t expected) {
+    return latch.UpgradeToWriteLockOrRestart(expected);
   }
-
-  void WriteLock(LatchGuard& g) { latch.WriteLock(g, &latch_hint); }
 
   /// Releases the write lock, advancing the version so concurrent optimistic
   /// readers detect the modification and restart.
-  void WriteUnlock(LatchGuard& g) { latch.WriteUnlock(g); }
+  void WriteUnlock() { latch.WriteUnlock(); }
 };
 static_assert(sizeof(Node) == kCacheLineSize,
               "Node header (latch + metadata) should occupy one cache line");
